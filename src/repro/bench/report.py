@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import platform
+import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -218,9 +219,25 @@ class BenchReport:
         return "\n".join(lines)
 
 
+def git_rev(directory: Path | None = None) -> str:
+    """The commit checked out around ``directory`` (default: this package).
+
+    ``"unknown"`` outside a git checkout or without a ``git`` executable,
+    so a report always says which code it measured when it can.
+    """
+    directory = directory or Path(__file__).resolve().parent
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=directory,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
 def default_meta(**extra) -> dict:
     """Environment metadata recorded in every report."""
     meta = {
+        "git_rev": git_rev(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),

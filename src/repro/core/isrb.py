@@ -280,6 +280,12 @@ class InflightSharedRegisterBuffer(SharingTracker):
         self._checkpoints = {}
         self._next_checkpoint_id = 0
 
+    def carry_over(self) -> None:
+        """Drop the branch checkpoints, as :meth:`restore_snapshot` does."""
+        super().carry_over()
+        self._checkpoints = {}
+        self._next_checkpoint_id = 0
+
     # -- internals ----------------------------------------------------------------
 
     def _free_entry(self, preg: int) -> None:

@@ -252,6 +252,11 @@ class SmbEngine:
         self.csn_table.restore_snapshot(snapshot["csn_table"])
         self._blacklisted_seqs = set()
 
+    def carry_over(self) -> None:
+        """Drop the window-local blacklist and restart the statistics at zero."""
+        self.stats = SmbStats()
+        self._blacklisted_seqs = set()
+
     # -- reporting ----------------------------------------------------------------
 
     def storage_bits(self) -> int:

@@ -172,6 +172,15 @@ class SharingTracker(ABC):
         raise NotImplementedError(
             f"tracker scheme {self.name!r} does not implement snapshots")
 
+    def carry_over(self) -> None:
+        """Continue into a new detailed run in place: statistics restart at zero.
+
+        The live entries stay, exactly as :meth:`restore_snapshot` of this
+        tracker's own :meth:`to_snapshot` would leave them; schemes with
+        speculative state a snapshot drops drop it here too.
+        """
+        self.stats = TrackerStats()
+
     # -- introspection ------------------------------------------------------------
 
     @abstractmethod

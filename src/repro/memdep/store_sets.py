@@ -162,6 +162,10 @@ class StoreSetsPredictor:
         self._next_ssid = snapshot["next_ssid"]
         self._accesses_since_clear = snapshot["accesses_since_clear"]
 
+    def carry_over(self) -> None:
+        """Drop the LFST, as restoring a :meth:`to_snapshot` image does."""
+        self._lfst = {}
+
     def storage_bits(self) -> int:
         """Approximate storage requirement in bits (SSID width times table sizes)."""
         ssid_bits = max(self.config.lfst_entries.bit_length() - 1, 1)

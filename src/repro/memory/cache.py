@@ -125,6 +125,14 @@ class SetAssociativeCache:
 
     # -- statistics ---------------------------------------------------------------
 
+    def reset_stats(self) -> None:
+        """Restart every statistic at zero (the contents stay)."""
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.writebacks = 0
+        self.prefetch_fills = 0
+
     @property
     def accesses(self) -> int:
         """Total number of lookups."""

@@ -107,10 +107,21 @@ class DramModel:
 
     def restore_snapshot(self, snapshot: dict, now: int = 0) -> None:
         """Restore a :meth:`to_snapshot` image, rebasing busy times onto ``now``."""
-        if len(snapshot["open_rows"]) != len(self._open_row):
-            raise ValueError("DRAM snapshot geometry does not match this model")
-        self._open_row = list(snapshot["open_rows"])
+        self.restore_open_rows(snapshot["open_rows"])
         self._bank_free_at = [now + delta for delta in snapshot["bank_busy_in"]]
+
+    def restore_open_rows(self, open_rows: list) -> None:
+        """Overwrite the open rows only (bank-busy timing is left alone)."""
+        if len(open_rows) != len(self._open_row):
+            raise ValueError("DRAM snapshot geometry does not match this model")
+        self._open_row = list(open_rows)
+
+    def carry_over(self, now: int) -> None:
+        """Rebase busy times onto cycle 0 as a snapshot at ``now`` would; zero stats."""
+        self._bank_free_at = [max(0, t - now) for t in self._bank_free_at]
+        self.accesses = 0
+        self.row_hits = 0
+        self.row_conflicts = 0
 
     def __repr__(self) -> str:
         banks = self.config.ranks * self.config.banks_per_rank

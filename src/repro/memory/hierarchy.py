@@ -166,25 +166,36 @@ class MemoryHierarchy:
                                      if t > now),
         }
 
-    @staticmethod
-    def merge_warm_snapshot(warm: dict, own: dict) -> dict:
-        """Combine a functionally warmed snapshot with a core's own snapshot.
+    def install_warm(self, warm: dict) -> None:
+        """Adopt the data side of a functionally warmed :meth:`to_snapshot` image.
 
         The warming hooks train the *data* side (L1D/L2 tags, prefetcher,
         DRAM open rows) but have no per-op PC stream and no timing, so the
-        L1I contents, the MSHR completion deltas and the DRAM bank-busy
-        deltas come from ``own`` -- the core's chained snapshot.  Lives
-        here so knowledge of :meth:`to_snapshot`'s layout stays in one
-        module; neither input is mutated.
+        L1I contents, the outstanding-miss (MSHR) times and the DRAM
+        bank-busy times stay this hierarchy's own.  Lives here so knowledge
+        of :meth:`to_snapshot`'s layout stays in one module; ``warm`` is
+        copied, never aliased or mutated.
         """
-        merged = dict(warm)
-        merged["l1i"] = own["l1i"]
-        merged["outstanding_in"] = own["outstanding_in"]
-        merged["dram"] = {
-            "open_rows": warm["dram"]["open_rows"],
-            "bank_busy_in": own["dram"]["bank_busy_in"],
-        }
-        return merged
+        self.l1d.restore_snapshot(warm["l1d"])
+        self.l2.restore_snapshot(warm["l2"])
+        self.prefetcher.restore_snapshot(warm["prefetcher"])
+        self.dram.restore_open_rows(warm["dram"]["open_rows"])
+
+    def carry_over(self, now: int) -> None:
+        """Continue into a run whose cycle counter restarts at zero, in place.
+
+        The in-place equivalent of restoring :meth:`to_snapshot` at ``now``
+        into a fresh hierarchy: contents stay, timed state is rebased onto
+        cycle 0 and the statistics restart at zero.
+        """
+        self._outstanding_misses = sorted(t - now for t in self._outstanding_misses
+                                          if t > now)
+        self.dram.carry_over(now)
+        for cache in (self.l1i, self.l1d, self.l2):
+            cache.reset_stats()
+        self.prefetcher.reset_stats()
+        self.demand_accesses = 0
+        self.mshr_full_events = 0
 
     def restore_snapshot(self, snapshot: dict, now: int = 0) -> None:
         """Restore a :meth:`to_snapshot` image, rebasing timed state onto ``now``."""

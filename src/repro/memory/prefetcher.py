@@ -76,6 +76,11 @@ class StridePrefetcher:
             for index, (last, stride, conf) in snapshot.items()
         }
 
+    def reset_stats(self) -> None:
+        """Restart the statistics at zero (the training table stays)."""
+        self.prefetches_issued = 0
+        self.trainings = 0
+
     def __repr__(self) -> str:
         return (f"StridePrefetcher(entries={self.table_entries}, degree={self.degree}, "
                 f"distance={self.distance})")

@@ -65,19 +65,21 @@ class Core:
 
     def __init__(self, config: CoreConfig | None = None) -> None:
         self.config = config or CoreConfig()
+        # Set by carry_over(): the next run() continues the live machine
+        # instead of building a cold one.
+        self._carried = False
 
     # ------------------------------------------------------------------ setup --
 
-    def _reset(self, trace: Trace) -> None:
+    def _build_machine(self) -> None:
+        """Construct the long-lived machine in its cold state.
+
+        Everything here outlives a run: the predictors, the rename state,
+        the sharing tracker, Store Sets, the SMB engine and the memory
+        hierarchy.  :meth:`run` builds it for a cold or resumed run;
+        :meth:`carry_over` continues it in place instead.
+        """
         config = self.config
-        self.trace = trace
-        self.cycle = 0
-        self.committed = 0
-        self.fetch_index = 0
-        self.fetch_blocked_until = 0
-        self.pending_redirect: InflightOp | None = None
-        self.frontend_queue: deque[InflightOp] = deque()
-        self._last_fetch_line = -1
 
         # Front end.
         self.branch_predictor = TageBranchPredictor(config.branch_predictor)
@@ -103,6 +105,41 @@ class Core:
         self.smb_engine = SmbEngine(config.smb, num_arch_regs=NUM_INT_REGS + NUM_FP_REGS)
         self._smb_train_commit = (self.smb_engine.train_commit
                                   if config.smb.enabled else None)
+        self.store_sets = StoreSetsPredictor(config.store_sets)
+        self.memory = MemoryHierarchy(config.memory)
+
+        # Commit sequence numbers continue across detailed windows of a
+        # sampled simulation (restored from a snapshot, or advanced by
+        # carry_over); the SMB commit training relies on their monotonicity.
+        self._csn_base = 0
+
+        # Fixed execution latency per op class (FDIV is special-cased).
+        self._latency_of_class = {
+            OpClass.INT_ALU: config.int_alu_latency,
+            OpClass.INT_MOVE: config.int_alu_latency,
+            OpClass.INT_MUL: config.int_mul_latency,
+            OpClass.INT_DIV: config.int_div_latency,
+            OpClass.FP_ALU: config.fp_alu_latency,
+            OpClass.FP_MOVE: config.fp_alu_latency,
+            OpClass.FP_MULDIV: config.fp_mul_latency,
+            OpClass.BRANCH: config.branch_latency,
+            OpClass.NOP: config.int_alu_latency,
+            OpClass.LOAD: config.int_alu_latency,
+            OpClass.STORE: config.store_latency,
+        }
+
+    def _reset_pipeline(self, trace: Trace) -> None:
+        """Start a run of ``trace``: empty pipeline, cycle 0, zeroed counters."""
+        config = self.config
+        self.trace = trace
+        self.cycle = 0
+        self.committed = 0
+        self.fetch_index = 0
+        self.fetch_blocked_until = 0
+        self.pending_redirect: InflightOp | None = None
+        self.frontend_queue: deque[InflightOp] = deque()
+        self._last_fetch_line = -1
+
         self.renamer = Renamer(self.rename_map, self.int_free, self.fp_free, self.tracker,
                                config.move_elimination, self.smb_engine)
 
@@ -111,8 +148,6 @@ class Core:
         self.iq = IssueQueue(config.iq_entries)
         self.lsq = LoadStoreQueue(config.lq_entries, config.sq_entries)
         self.fus = FunctionalUnits()
-        self.store_sets = StoreSetsPredictor(config.store_sets)
-        self.memory = MemoryHierarchy(config.memory)
 
         # Physical register ready times, indexed by global preg number.  A
         # flat list beats a dict here: the issue stage probes it for every
@@ -138,20 +173,6 @@ class Core:
         self._pool_of_class = {
             op_class: self.fus.pool_for(op_class) for op_class in OpClass
         }
-        # Fixed execution latency per op class (FDIV is special-cased).
-        self._latency_of_class = {
-            OpClass.INT_ALU: config.int_alu_latency,
-            OpClass.INT_MOVE: config.int_alu_latency,
-            OpClass.INT_MUL: config.int_mul_latency,
-            OpClass.INT_DIV: config.int_div_latency,
-            OpClass.FP_ALU: config.fp_alu_latency,
-            OpClass.FP_MOVE: config.fp_alu_latency,
-            OpClass.FP_MULDIV: config.fp_mul_latency,
-            OpClass.BRANCH: config.branch_latency,
-            OpClass.NOP: config.int_alu_latency,
-            OpClass.LOAD: config.int_alu_latency,
-            OpClass.STORE: config.store_latency,
-        }
 
         # Statistics.
         self.counters: dict[str, float] = {
@@ -173,10 +194,6 @@ class Core:
         self._progress = False
         self._rename_stalled = False
         self._skipped_cycles = 0
-        # Commit sequence numbers continue across detailed windows of a
-        # sampled simulation (restored from a snapshot); the SMB commit
-        # training relies on their monotonicity.
-        self._csn_base = 0
         self._first_commit_cycle = -1
         # Optional commit-count milestones (sampled simulation): the cycle
         # at which the N-th micro-op of this run commits, used to bound the
@@ -212,11 +229,14 @@ class Core:
             commit_milestones=()) -> SimulationResult:
         """Replay ``trace`` through the pipeline and return the simulation result.
 
-        ``resume`` warm-starts the run from a :class:`CoreSnapshot` taken
-        by :meth:`snapshot` after an earlier run: predictors, caches,
-        rename state and the sharing tracker begin where the previous
-        detailed window left them, which is what lets the sampled
-        simulation driver interleave fast-forward gaps between windows.
+        Each run starts from a cold machine, unless ``resume`` or a
+        preceding :meth:`carry_over` says otherwise.  ``resume`` warm-starts
+        the run from a :class:`CoreSnapshot` taken by :meth:`snapshot` after
+        an earlier run: predictors, caches, rename state and the sharing
+        tracker begin where that run left them.  After :meth:`carry_over`
+        the run continues this core's own machine in place, which is how
+        the sampled simulation driver chains its detailed stretches across
+        the fast-forward gaps; the two cannot be combined.
 
         ``commit_milestones`` records (in :attr:`milestone_cycles`) the
         cycle at which each given commit count is reached -- the sampled
@@ -226,9 +246,17 @@ class Core:
         """
         if len(trace) == 0:
             raise ValueError("cannot simulate an empty trace")
-        self._reset(trace)
-        if resume is not None:
-            self._restore_snapshot(resume)
+        if self._carried:
+            if resume is not None:
+                raise ValueError(
+                    "a carried-over core continues its own state; it cannot "
+                    "also resume from a snapshot")
+            self._carried = False
+        else:
+            self._build_machine()
+            if resume is not None:
+                self._restore_snapshot(resume)
+        self._reset_pipeline(trace)
         if commit_milestones:
             self._milestone_commits = frozenset(commit_milestones)
         limit = max_cycles or self.config.max_cycles_per_instruction * len(trace)
@@ -976,17 +1004,7 @@ class Core:
         part of the snapshot; see :mod:`repro.pipeline.snapshot` for the
         full list of invariants.
         """
-        if self.rob.head() is not None or self.frontend_queue or len(self.iq) \
-                or self.execution_wheel or self.pending_redirect is not None:
-            raise RuntimeError("snapshot requires a drained pipeline")
-        # Complete every deferred reclaim (lazy-reclaim release walk).
-        while self.rob.retained_count() > 0:
-            entry = self.rob.pop_retained()
-            if entry is None:
-                break
-            if entry.op.dest is not None and entry.old_preg is not None \
-                    and entry.old_preg >= 0 and entry.old_preg != entry.dest_preg:
-                self._reclaim_register(entry.old_preg, entry.op.dest_flat, entry.seq)
+        self._drain_for_handover("snapshot")
         config = self.config
         return CoreSnapshot(
             variant=config.variant_name(),
@@ -1008,7 +1026,7 @@ class Core:
         )
 
     def _restore_snapshot(self, snap: CoreSnapshot) -> None:
-        """Overwrite the freshly-reset core state with a snapshot (cycle rebased to 0)."""
+        """Overwrite the freshly built machine with a snapshot (cycle rebased to 0)."""
         if not snap.compatible_with(self.config):
             raise ValueError(
                 f"snapshot of machine {snap.variant!r} cannot be restored into "
@@ -1029,6 +1047,47 @@ class Core:
         self.memory.restore_snapshot(snap.memory, now=0)
         self.smb_engine.restore_snapshot(snap.smb)
         self._csn_base = snap.next_csn
+
+    def carry_over(self) -> None:
+        """Continue the drained machine into the next :meth:`run`, in place.
+
+        Leaves the core exactly as ``run(next_trace, resume=self.snapshot())``
+        would set it up, without building or restoring a snapshot: every
+        :class:`CoreSnapshot` invariant is applied to the live structures.
+        The deferred lazy reclaims are completed, the commit sequence base
+        advances past this run, cycle-stamped memory state is rebased onto
+        cycle 0, the window-local state (Store Sets LFST, SMB blacklist,
+        tracker checkpoints) is dropped and the reported statistics restart
+        at zero.  The caller may then install other state (the sampled
+        driver installs its functionally warmed image) before the next
+        :meth:`run`.  Only valid right after :meth:`run` returned.
+        """
+        self._drain_for_handover("carry_over")
+        self._csn_base += self.committed
+        self.committed = 0
+        # Drained, the speculative map equals the committed one (a snapshot
+        # stores one image for both).
+        self.rename_map.copy_from(self.commit_map)
+        self.memory.carry_over(self.cycle)
+        self.cycle = 0
+        self.store_sets.carry_over()
+        self.smb_engine.carry_over()
+        self.tracker.carry_over()
+        self._carried = True
+
+    def _drain_for_handover(self, caller: str) -> None:
+        """Check the pipeline is drained and complete every deferred reclaim."""
+        if self.rob.head() is not None or self.frontend_queue or len(self.iq) \
+                or self.execution_wheel or self.pending_redirect is not None:
+            raise RuntimeError(f"{caller} requires a drained pipeline")
+        # The lazy-reclaim release walk, run to completion.
+        while self.rob.retained_count() > 0:
+            entry = self.rob.pop_retained()
+            if entry is None:
+                break
+            if entry.op.dest is not None and entry.old_preg is not None \
+                    and entry.old_preg >= 0 and entry.old_preg != entry.dest_preg:
+                self._reclaim_register(entry.old_preg, entry.op.dest_flat, entry.seq)
 
     # ------------------------------------------------------------------ utils --
 

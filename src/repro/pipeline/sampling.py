@@ -8,13 +8,15 @@ then a measured ``window``), after which the rest of the period is retired
 by :class:`~repro.isa.functional.FunctionalCore` at millions of micro-ops
 per second.  Micro-architectural state -- branch predictors, caches, the
 rename state and the register-sharing tracker -- is carried across the
-fast-forward gaps by the :class:`~repro.pipeline.snapshot.CoreSnapshot`
-API, so every window starts warm.
+fast-forward gaps by one live :class:`~repro.pipeline.core.Core`, continued
+from stretch to stretch by :meth:`~repro.pipeline.core.Core.carry_over`
+(the in-place equivalent of a :class:`~repro.pipeline.snapshot.CoreSnapshot`
+round trip), so every window starts warm.
 
 Measurement methodology (see DESIGN.md for the error analysis):
 
 * each detailed stretch (warmup + window) is replayed as *one*
-  :meth:`Core.run`, resumed from the previous stretch's snapshot, so the
+  :meth:`Core.run` on the core the previous stretch left behind, so the
   detailed model never sees the fast-forward gap;
 * the window's cycle count is measured from the commit of the last warmup
   micro-op (the run's ``commit_milestone``) to the end of the run -- the
@@ -87,13 +89,12 @@ Error-budget mode instead asks for an accuracy, not a geometry::
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 from repro.bpred.btb import BranchTargetBuffer
 from repro.bpred.ras import ReturnAddressStack
-from repro.common.history import PathHistory, ShiftHistory
+from repro.common.history import HistoryCheckpoint, PathHistory, ShiftHistory
 from repro.common.statistics import t_critical_95, weighted_mean_std
 from repro.isa.executor import Trace
 from repro.isa.functional import FunctionalCore
@@ -102,7 +103,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.pipeline.result import SimulationResult
-from repro.pipeline.snapshot import CoreSnapshot
 from repro.telemetry.metrics import (
     CONSTANT_SUFFIXES,
     MEAN_SUFFIXES,
@@ -119,7 +119,7 @@ class SamplingConfig:
     them are simulated in detail (only the ``window`` portion is measured)
     and the rest are fast-forwarded functionally.  ``period == warmup +
     window + cooldown`` degenerates to full detailed simulation in
-    windowed form (useful for validating the snapshot machinery).
+    windowed form (useful for validating the carry-over machinery).
     """
 
     period: int = 50_000
@@ -254,39 +254,14 @@ def _aggregate_stats(window_results: list[SimulationResult]) -> dict[str, float]
     return totals
 
 
-def _resume_with_warm_state(snap: CoreSnapshot | None,
-                            warm: "WarmState | None") -> CoreSnapshot | None:
-    """Merge a plan's boundary warm image into a scheme's chained snapshot.
-
-    The first stretch resumes from nothing (a cold core); later stretches
-    resume from the scheme's own snapshot with the functionally warmed
-    structures substituted in.  With gap warming disabled the snapshot is
-    used as-is (the structures stay frozen at the previous window's end).
-    """
-    if snap is None or warm is None:
-        return snap
-    # The L1I contents and the MSHR / DRAM bank-busy timing deltas are
-    # scheme-local (products of the scheme's own detailed windows) and
-    # chain through the scheme's snapshot; the warmed data side comes from
-    # the plan.  The split lives with the snapshot layout it depends on.
-    return dataclasses.replace(
-        snap,
-        memory=MemoryHierarchy.merge_warm_snapshot(warm.memory, snap.memory),
-        btb=warm.btb,
-        ras=warm.ras,
-        history=warm.history,
-        path=warm.path,
-    )
-
-
 @dataclass(frozen=True)
 class WarmState:
     """Image of the functionally warmed structures at a stretch boundary.
 
     A pure value: captured once per detailed stretch during planning and
-    merged (via :func:`_resume_with_warm_state`) into every scheme's resume
-    snapshot, so it must never be mutated -- every ``restore_snapshot``
-    implementation copies out of its snapshot rather than aliasing it.
+    installed (:meth:`install`) into every scheme's carried-over core, so
+    it must never be mutated -- every ``restore_snapshot`` implementation
+    copies out of its snapshot rather than aliasing it.
     """
 
     memory: dict
@@ -294,6 +269,18 @@ class WarmState:
     ras: list
     history: int
     path: int
+
+    def install(self, core: Core) -> None:
+        """Overwrite ``core``'s functionally warmed structures with this image.
+
+        Everything else -- the scheme-local state, the L1I and the memory
+        timing -- stays as the core's own previous stretch left it.
+        """
+        core.memory.install_warm(self.memory)
+        core.btb.restore_snapshot(self.btb)
+        core.ras.restore_snapshot(self.ras)
+        core.history.restore(HistoryCheckpoint(self.history, core.history.max_bits))
+        core.path.restore(HistoryCheckpoint(self.path, core.path.max_bits))
 
 
 @dataclass(frozen=True)
@@ -693,11 +680,12 @@ class SampledSimulator:
     def execute_plan(self, plan: SamplePlan) -> SimulationResult:
         """Replay a plan's detailed stretches under this simulator's config.
 
-        Scheme-local state -- the sharing tracker, rename maps and free
-        lists, the TAGE predictor, Store Sets, SMB tables -- chains through
-        the scheme's own :class:`CoreSnapshot` from stretch to stretch,
-        exactly as an unshared run would; only the functionally warmed
-        structures are adopted from the plan's boundary images.
+        One live core replays every stretch (see :func:`_run_stretches`):
+        scheme-local state -- the sharing tracker, rename maps and free
+        lists, the TAGE predictor, Store Sets, SMB tables -- carries over
+        from stretch to stretch, exactly as an unshared run would; only the
+        functionally warmed structures are adopted from the plan's boundary
+        images.
         """
         if plan.sampling != self.sampling_fingerprint():
             raise ValueError(
@@ -799,28 +787,33 @@ def _run_stretches(
     :meth:`SampledSimulator.execute_plan` and the error-budget planner's
     probe pass, so stopping decisions are made with exactly the measurement
     the final execution will use.
+
+    One core replays every stretch.  The first starts cold; each later one
+    continues the machine its predecessor left (:meth:`Core.carry_over`)
+    with the stretch's warm image installed over the functionally warmed
+    structures.  With gap warming off those structures carry over as the
+    previous stretch left them.
     """
     core = Core(config)
-    snap: CoreSnapshot | None = None
     windows: list[tuple[int, int, SimulationResult]] = []
     warmup_ops = 0
     cooldown_ops = 0
     detailed_cycles_extra = 0
 
-    for stretch in stretches:
+    for index, stretch in enumerate(stretches):
         trace = stretch.trace
-        resume = _resume_with_warm_state(snap, stretch.warm)
+        if index:
+            core.carry_over()
+            if stretch.warm is not None:
+                stretch.warm.install(core)
         if not stretch.measure_ops:  # halted inside the warmup
             warmup_ops += len(trace)
-            tail_result = core.run(trace, resume=resume)
-            detailed_cycles_extra += tail_result.cycles
-            snap = core.snapshot()
+            detailed_cycles_extra += core.run(trace).cycles
             continue
         warm_ops = stretch.warm_ops
         window_end = warm_ops + stretch.measure_ops
         milestones = [commit for commit in (warm_ops, window_end) if commit]
-        result = core.run(trace, resume=resume, commit_milestones=milestones)
-        snap = core.snapshot()
+        result = core.run(trace, commit_milestones=milestones)
         # With no warmup the window includes the pipeline-fill ramp; when
         # the trace ends at the window (no cooldown ops recorded) it
         # includes the end-of-run drain.

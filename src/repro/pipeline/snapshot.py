@@ -2,7 +2,11 @@
 
 A :class:`CoreSnapshot` captures every piece of core state that must
 survive a functional fast-forward gap between two detailed simulation
-windows (the two-speed engine of :mod:`repro.pipeline.sampling`):
+windows.  It is the public, serialisable form of that state and the test
+oracle: the two-speed engine of :mod:`repro.pipeline.sampling` does not
+build snapshots between its stretches, but continues one live core with
+:meth:`repro.pipeline.core.Core.carry_over`, which must leave the core
+exactly as a snapshot round trip would.  A snapshot holds:
 
 * front end: TAGE branch predictor, BTB, RAS, global branch history and
   path history;
@@ -17,13 +21,14 @@ windows (the two-speed engine of :mod:`repro.pipeline.sampling`):
   the commit-side CSN table, plus the running commit sequence number so
   CSNs stay monotonic across windows.
 
-Snapshot invariants (enforced by :meth:`repro.pipeline.core.Core.snapshot`
-and documented in DESIGN.md):
+Snapshot invariants (enforced by :meth:`repro.pipeline.core.Core.snapshot`,
+applied in place by :meth:`~repro.pipeline.core.Core.carry_over`, and
+documented in DESIGN.md):
 
 * the pipeline is **drained** -- no in-flight instruction, so transient
   structures (ROB, IQ, LSQ, front-end queue, writeback wheel, functional
-  unit reservations, Store Sets LFST, SMB blacklist) are empty or
-  meaningless and are not captured;
+  unit reservations, Store Sets LFST, SMB blacklist, tracker branch
+  checkpoints) are empty or meaningless and are not captured;
 * deferred lazy reclaims are **completed first** -- any committed entry
   still retained in the ROB has its overwritten mapping reclaimed before
   the state is read, so register liveness never rides on a structure the

@@ -221,6 +221,14 @@ def test_report_json_roundtrip(tiny_report, tmp_path):
         == [r.to_dict() for r in tiny_report.results]
 
 
+def test_report_meta_records_git_rev(tiny_report, tmp_path):
+    from repro.bench.report import git_rev
+
+    rev = tiny_report.meta["git_rev"]
+    assert rev == "unknown" or (len(rev) == 40 and int(rev, 16) >= 0)
+    assert git_rev(tmp_path) == "unknown"  # not a git checkout
+
+
 def test_report_text_mentions_every_case(tiny_report):
     text = tiny_report.to_text()
     for result in tiny_report.results:

@@ -4,12 +4,14 @@ The farm's load-bearing contract is *exact equality*: executing a shared
 :class:`~repro.pipeline.sampling.SamplePlan` under a scheme configuration
 must produce the identical :class:`SimulationResult` that the scheme's own
 independently warmed run produces.  Everything scheme-local (tracker,
-rename state, TAGE, Store Sets, SMB) chains through the scheme's own
-snapshots; only the functionally warmed structures -- which are a pure
+rename state, TAGE, Store Sets, SMB) carries over on the scheme's own live
+core; only the functionally warmed structures -- which are a pure
 function of the architectural instruction stream -- are shared.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -17,9 +19,11 @@ from repro.experiments.cache import TraceCache, plan_cache_key
 from repro.experiments.cli import main as cli_main
 from repro.experiments.grid import SCHEME_PRESETS, SweepSpec
 from repro.experiments.runner import run_sweep
+from repro.pipeline import sampling
 from repro.pipeline.config import CoreConfig
+from repro.pipeline.core import Core
 from repro.pipeline.sampling import SampledSimulator, SamplingConfig
-from repro.workloads import build_workload
+from repro.workloads import build_workload, generate_trace
 
 MAX_OPS = 4_000
 SAMPLING = SamplingConfig(period=1_000, window=300, warmup=200, cooldown=150)
@@ -86,8 +90,6 @@ def test_execute_plan_rejects_foreign_geometry(shared_plan):
 
 
 def test_execute_plan_rejects_foreign_machine(shared_plan):
-    import dataclasses
-
     from repro.memory.hierarchy import HierarchyConfig
 
     small_btb = _config_for("isrb").replace(btb_entries=512)
@@ -100,6 +102,110 @@ def test_execute_plan_rejects_foreign_machine(shared_plan):
         HierarchyConfig())  # identical hierarchy -> identical signature
     assert CoreConfig().replace(memory=resized).warm_signature() \
         == CoreConfig().warm_signature()
+
+
+# -- chaining one live core across stretches -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def plans_by_warm_gaps():
+    """A plan per gap-warming mode; ``warm_gaps=False`` plans run nowhere else."""
+    image = build_workload("spill_reload", seed=1)
+    return {
+        warm_gaps: SampledSimulator(
+            CoreConfig(), dataclasses.replace(SAMPLING, warm_gaps=warm_gaps)
+        ).plan(image, "spill_reload", MAX_OPS, workload="spill_reload")
+        for warm_gaps in (True, False)
+    }
+
+
+def _snapshot_round_trip(config, stretches):
+    """The oracle: every stretch resumed from the previous stretch's snapshot.
+
+    This is how stretches were chained before one live core replaced the
+    round trip.  It returns the per-window ``(instructions, cycles, stats)``
+    and the digest of the final core.  The warm image replaces the snapshot's
+    data-side memory, BTB, RAS and histories; the L1I and the memory timing
+    stay the scheme's own.
+    """
+    core = Core(config)
+    snap = None
+    windows = []
+    for stretch in stretches:
+        resume = snap
+        if snap is not None and stretch.warm is not None:
+            warm = stretch.warm
+            memory = dict(warm.memory, l1i=snap.memory["l1i"],
+                          outstanding_in=snap.memory["outstanding_in"],
+                          dram={"open_rows": warm.memory["dram"]["open_rows"],
+                                "bank_busy_in": snap.memory["dram"]["bank_busy_in"]})
+            resume = dataclasses.replace(snap, memory=memory, btb=warm.btb,
+                                         ras=warm.ras, history=warm.history,
+                                         path=warm.path)
+        warm_ops = stretch.warm_ops
+        window_end = warm_ops + stretch.measure_ops
+        milestones = [commit for commit in (warm_ops, window_end)
+                      if commit and stretch.measure_ops]
+        result = core.run(stretch.trace, resume=resume,
+                          commit_milestones=milestones)
+        snap = core.snapshot()
+        if stretch.measure_ops:
+            start = core.milestone_cycles.get(warm_ops, 0) if warm_ops else 0
+            end = core.milestone_cycles.get(window_end, result.cycles)
+            windows.append((stretch.measure_ops, max(end - start, 1), result.stats))
+    return windows, snap.digest()
+
+
+@pytest.mark.parametrize("lazy_reclaim", [False, True])
+@pytest.mark.parametrize("warm_gaps", [True, False])
+@pytest.mark.parametrize("scheme", ["baseline", *sorted(SCHEME_PRESETS)])
+def test_live_chaining_equals_snapshot_round_trip(plans_by_warm_gaps, monkeypatch,
+                                                  scheme, warm_gaps, lazy_reclaim):
+    """Carrying one core over between stretches == a snapshot round trip per
+    stretch, bit for bit, and ``execute_plan`` never builds or restores a
+    snapshot."""
+    config = _config_for(scheme).replace(lazy_reclaim=lazy_reclaim)
+    plan = plans_by_warm_gaps[warm_gaps]
+    expected_windows, expected_digest = _snapshot_round_trip(config, plan.stretches)
+
+    calls = {"snapshot": 0, "_restore_snapshot": 0}
+    for name in calls:
+        original = getattr(Core, name)
+
+        def counting(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Core, name, counting)
+    cores = []
+
+    class RecordingCore(Core):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            cores.append(self)
+
+    monkeypatch.setattr(sampling, "Core", RecordingCore)
+    sampling_config = dataclasses.replace(SAMPLING, warm_gaps=warm_gaps)
+    SampledSimulator(config, sampling_config).execute_plan(plan)
+    assert calls == {"snapshot": 0, "_restore_snapshot": 0}
+
+    windows, _, _, _ = sampling._run_stretches(config, plan.stretches)
+    assert [(instructions, cycles, result.stats)
+            for instructions, cycles, result in windows] == expected_windows
+    assert cores[-1].snapshot().digest() == expected_digest
+
+
+def test_carry_over_keeps_the_snapshot_and_excludes_resume():
+    """Carrying over changes nothing a snapshot captures, and a carried-over
+    core refuses to also resume from a snapshot."""
+    trace = generate_trace("spill_reload", max_ops=600, seed=1)
+    core = Core(_config_for("isrb").replace(lazy_reclaim=True))
+    core.run(trace)
+    snapshot = core.snapshot()
+    core.carry_over()
+    assert core.snapshot().digest() == snapshot.digest()
+    with pytest.raises(ValueError, match="carried-over"):
+        core.run(trace, resume=snapshot)
 
 
 # -- the plan cache ---------------------------------------------------------------------
