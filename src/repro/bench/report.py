@@ -142,6 +142,11 @@ class BenchReport:
             # (grid expansion + store + simulation + SVG/report rendering).
             out["paper_cells_per_sec"] = geomean(
                 case.ops_per_sec for case in paper)
+        store = self.cases("store")
+        if store:
+            # Lease claim+release pairs per second on the results store.
+            out["store_claim_release_per_sec_geomean"] = geomean(
+                case.ops_per_sec for case in store)
         farm = self.cases("sweep_farm")
         if farm:
             out["sweep_farm_jobs_per_sec"] = geomean(case.ops_per_sec for case in farm)

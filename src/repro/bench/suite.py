@@ -35,7 +35,12 @@ The suite has three tiers, mirroring where simulator time actually goes:
 * ``paper/smoke`` -- the paper-figure pipeline (``repro paper --smoke``)
   end to end into a scratch directory: figure grids, results store, SVG
   and report rendering, measured in grid cells/second.  Guards the
-  acceptance bar that the smoke deliverable stays CI-cheap.
+  acceptance bar that the smoke deliverable stays CI-cheap;
+* ``store/claim_release/<prior>`` -- a results-store lease claim plus its
+  release on a store already holding ``prior`` live leases, measured in
+  claim+release pairs/second (the case detail records microseconds per
+  pair).  Comparing the cases shows whether lease cost grows with
+  lease history.
 
 Wall time per case is best-of-``repeat`` (scheduler noise only ever adds
 time).  The clock is injectable for unit tests.
@@ -43,8 +48,9 @@ time).  The clock is injectable for unit tests.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.bench.report import BenchReport, BenchResult, default_meta
@@ -67,6 +73,9 @@ DEFAULT_BENCH_WORKLOADS: tuple[str, ...] = (
 #: Tracker schemes the default suite times (the paper's headline scheme, the
 #: unlimited reference, a walk-recovery scheme and the no-sharing baseline).
 DEFAULT_BENCH_SCHEMES: tuple[str, ...] = ("baseline", "isrb", "refcount", "matrix")
+
+#: Timed claim+release pairs per ``store/claim_release`` case and repeat.
+_STORE_PAIRS = 200
 
 #: Repository root, used to resolve the decode tier's sample binary so the
 #: bench suite works from any working directory.
@@ -570,5 +579,44 @@ def run_benchmarks(config: BenchConfig | None = None, clock=None,
             raise RuntimeError(
                 f"bench sweep had {len(sweep_report.failures)} failed job(s): "
                 + ", ".join(f["job_id"] for f in sweep_report.failures))
+
+    # Tier 9: lease claim+release on a store that already holds ``prior``
+    # live leases.  Each repeat times fresh cells, so every claim is a
+    # first claim.  The 10^4 case is long-horizon: without the long tiers
+    # (the smoke preset) it shrinks to 10^3.
+    import shutil
+    import tempfile
+
+    from repro.paper.store import ResultsStore
+
+    template = SweepSpec(schemes=("isrb",), workloads=("move_chain",),
+                         max_ops=config.max_ops).expand()[0]
+    for prior in (100, 10_000 if config.long_workloads else 1_000):
+        name = f"store/claim_release/{prior}"
+        if progress is not None:
+            progress(name)
+        cells = [replace(template, seed=seed)
+                 for seed in range(prior + _STORE_PAIRS * config.repeat)]
+        fresh = iter(cells[prior:])
+        scratch = tempfile.mkdtemp(prefix="repro-bench-store-")
+        try:
+            store = ResultsStore(Path(scratch) / "results.jsonl",
+                                 fsync=False)
+            for job in cells[:prior]:
+                store.claim(job)
+
+            def claim_release():
+                for job in itertools.islice(fresh, _STORE_PAIRS):
+                    if store.claim(job) is None:
+                        raise RuntimeError(f"{name}: a claim on a free "
+                                           "cell was refused")
+                    store.release(job)
+            wall, _ = timer.best_of(config.repeat, claim_release)
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+        report.results.append(BenchResult(
+            name=name, kind="store", ops=_STORE_PAIRS, wall_seconds=wall,
+            detail={"prior_claims": prior,
+                    "us_per_claim_release": 1e6 * wall / _STORE_PAIRS}))
 
     return report

@@ -218,9 +218,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     store = sub.add_parser(
         "store",
-        help="results-store maintenance: verify integrity, print stats, or "
-             "compact to canonical form (dedup, strip torn lines, prune "
-             "stale leases)")
+        help="results-store maintenance: verify integrity and count lease "
+             "lock files, print stats, or compact to canonical form (dedup, "
+             "strip torn lines)")
     store.add_argument("action", choices=("verify", "stats", "compact"))
     store.add_argument("store_file", metavar="RESULTS.jsonl",
                        help="results-store file (e.g. "
@@ -679,7 +679,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
         report = store.verify()
         print(json.dumps(report, indent=2, sort_keys=True))
         # Exit non-zero on damage so CI can gate on hygiene; duplicates
-        # and stale leases are normal operation (compact cleans them).
+        # (compact cleans them) and stale leases (the next claimant
+        # reclaims them) are normal operation.
         return 1 if report["corrupt_lines"] or report["torn_tail"] else 0
     if args.action == "stats":
         report = store.verify()
@@ -689,7 +690,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
               f"{report['corrupt_lines']} corrupt line(s), torn tail: {torn}")
         print(f"{report['leases_live']} live lease(s), "
               f"{report['leases_stale']} stale, "
-              f"{report['lease_lines']} lease line(s) on disk")
+              f"{report['lease_files']} lock file(s) on disk")
         return 0
     outcome = store.compact(keep_meta=args.keep_meta)
     print(json.dumps(outcome, indent=2, sort_keys=True))

@@ -307,6 +307,42 @@ def _record_with_repair(store, job_result: JobResult,
     store.record(job_result.job, job_result.result, meta=meta)
 
 
+def _claim_misses(store, misses: list[tuple[int, Job]],
+                  stats: ReliabilityStats, logger):
+    """Lease every cell in ``misses``; returns ``(won, recorded, held)``.
+
+    ``held`` cells are leased by a concurrent run.  That run may have
+    recorded (and released) a cell between our store read and our claim,
+    so one reload re-checks every claimed cell -- records can only predate
+    the claim, since holding the lease stops anyone else from simulating
+    the cell.  Those are released and returned in ``recorded``.
+    """
+    claimed: list[tuple[int, Job, str]] = []
+    held: list[tuple[int, Job]] = []
+    for index, job in misses:
+        grant = store.claim(job)
+        if grant is None:
+            held.append((index, job))
+        else:
+            claimed.append((index, job, grant))
+    if claimed:
+        store.reload()
+    won: list[tuple[int, Job]] = []
+    recorded: dict[int, JobResult] = {}
+    for index, job, grant in claimed:
+        if store.has(job):
+            store.release(job)
+            recorded[index] = JobResult(job=job, ok=True, result=store.get(job),
+                                        from_store=True)
+            continue
+        stats.leases_claimed += 1
+        if grant == "reclaimed":
+            stats.leases_reclaimed += 1
+            _log(logger, "warning", "lease_reclaimed", job_id=job.job_id)
+        won.append((index, job))
+    return won, recorded, held
+
+
 def _run_jobs_resumable(jobs: list[Job], store, workers: int,
                         timeout: float | None, cache_dir: str | None,
                         progress: ProgressCallback | None,
@@ -317,52 +353,29 @@ def _run_jobs_resumable(jobs: list[Job], store, workers: int,
     """The resume path of :func:`run_jobs`: store hits first, leased misses run.
 
     Store hits are reported through ``progress`` up front (elapsed 0).
-    Every remaining cell is then **leased**: cells we win run through the
-    normal machinery (each fresh success appended to the store -- and its
-    lease released -- the moment it is collected, *before* the caller's
-    progress callback sees it); cells a concurrent run holds are awaited,
-    polling the store, and reclaimed if that run's lease goes stale.  On
-    ``KeyboardInterrupt`` the owned leases are released and the store is
-    closed cleanly before re-raising, so the sweep exits resumable.
+    Every remaining cell is then **leased** (:func:`_claim_misses`): cells
+    we win run through the normal machinery (each fresh success appended
+    to the store -- and its lease released -- the moment it is collected,
+    *before* the caller's progress callback sees it); cells a concurrent
+    run holds are awaited, polling the store, and reclaimed if that run's
+    lease goes stale.  On ``KeyboardInterrupt`` the owned leases are
+    released and the store is closed cleanly before re-raising, so the
+    sweep exits resumable.
     """
     stats = stats if stats is not None else ReliabilityStats()
     total = len(jobs)
     by_index: dict[int, JobResult] = {}
-    mine: list[tuple[int, Job]] = []
-    theirs: list[tuple[int, Job]] = []
+    misses: list[tuple[int, Job]] = []
     try:
         for index, job in enumerate(jobs):
             cached = store.get(job)
             if cached is not None:
                 by_index[index] = JobResult(job=job, ok=True, result=cached,
                                             from_store=True)
-                continue
-            grant = store.claim(job)
-            if grant is None:
-                theirs.append((index, job))
-                continue
-            stats.leases_claimed += 1
-            if grant == "reclaimed":
-                stats.leases_reclaimed += 1
-                _log(logger, "warning", "lease_reclaimed", job_id=job.job_id)
-            mine.append((index, job))
-
-        # Close the miss->claim race: a concurrent run may have recorded a
-        # cell (and released its lease) between our snapshot read and our
-        # claim winning.  One reload re-checks every won cell -- records
-        # can only predate the claim, since holding the lease stops anyone
-        # else from simulating the cell from here on.
-        if mine:
-            store.reload()
-            contested, mine = mine, []
-            for index, job in contested:
-                if store.has(job):
-                    store.release(job)
-                    by_index[index] = JobResult(job=job, ok=True,
-                                                result=store.get(job),
-                                                from_store=True)
-                else:
-                    mine.append((index, job))
+            else:
+                misses.append((index, job))
+        mine, recorded, waiting = _claim_misses(store, misses, stats, logger)
+        by_index.update(recorded)
 
         ticks = 0
         if progress is not None:
@@ -384,67 +397,39 @@ def _run_jobs_resumable(jobs: list[Job], store, workers: int,
             if progress is not None:
                 progress(counter["done"], total, job_result)
 
-        def _run_claimed(claimed: list[Job]) -> list[JobResult]:
-            return run_jobs(claimed, workers=workers, timeout=timeout,
-                            cache_dir=cache_dir, progress=_record_and_report,
-                            plans=plans, farm=farm, logger=logger,
-                            fault_plan=fault_plan, retry=retry, stats=stats)
+        def _run_claimed(claimed: list[tuple[int, Job]]) -> None:
+            results = run_jobs([job for _index, job in claimed],
+                               workers=workers, timeout=timeout,
+                               cache_dir=cache_dir, progress=_record_and_report,
+                               plans=plans, farm=farm, logger=logger,
+                               fault_plan=fault_plan, retry=retry, stats=stats)
+            for (index, _job), job_result in zip(claimed, results):
+                by_index[index] = job_result
 
-        for (index, _job), job_result in zip(mine, _run_claimed(
-                [job for _index, job in mine])):
-            by_index[index] = job_result
+        _run_claimed(mine)
 
         # Await cells a concurrent resumable run holds leases on: poll the
         # store for their results, reclaim any whose lease went stale
         # (owner crashed) and run those ourselves.  Liveness: a concurrent
         # owner either records the cell, releases the lease (it failed
         # there -- we claim and run it) or goes stale (we reclaim it).
-        waiting = theirs
         while waiting:
-            still: list[tuple[int, Job]] = []
-            progressed = False
             store.reload()
-            for index, job in waiting:
-                if store.has(job):
-                    job_result = JobResult(job=job, ok=True,
-                                           result=store.get(job),
-                                           from_store=True)
-                    stats.cells_awaited += 1
-                    by_index[index] = job_result
-                    counter["done"] += 1
-                    progressed = True
-                    if progress is not None:
-                        progress(counter["done"], total, job_result)
-                    continue
-                grant = store.claim(job)
-                if grant is not None:
-                    # Same miss->claim race as above: the owner may have
-                    # recorded and released between our reload and this
-                    # claim winning.
-                    store.reload()
-                    if store.has(job):
-                        store.release(job)
-                        job_result = JobResult(job=job, ok=True,
-                                               result=store.get(job),
-                                               from_store=True)
-                        stats.cells_awaited += 1
-                        by_index[index] = job_result
-                        counter["done"] += 1
-                        progressed = True
-                        if progress is not None:
-                            progress(counter["done"], total, job_result)
-                        continue
-                    stats.leases_claimed += 1
-                    if grant == "reclaimed":
-                        stats.leases_reclaimed += 1
-                        _log(logger, "warning", "lease_reclaimed",
-                             job_id=job.job_id)
-                    by_index[index] = _run_claimed([job])[0]
-                    progressed = True
-                    continue
-                still.append((index, job))
-            waiting = still
-            if waiting and not progressed:
+            awaited = {index: JobResult(job=job, ok=True, result=store.get(job),
+                                        from_store=True)
+                       for index, job in waiting if store.has(job)}
+            mine, recorded, waiting = _claim_misses(
+                store, [(index, job) for index, job in waiting
+                        if index not in awaited], stats, logger)
+            awaited.update(recorded)
+            for index, job_result in awaited.items():
+                stats.cells_awaited += 1
+                by_index[index] = job_result
+                counter["done"] += 1
+                if progress is not None:
+                    progress(counter["done"], total, job_result)
+            _run_claimed(mine)
+            if waiting and not (awaited or mine):
                 time.sleep(_AWAIT_POLL_SECONDS)
     except KeyboardInterrupt:
         # Graceful cancellation: completed cells were already recorded by

@@ -33,19 +33,22 @@ skipped.  Duplicate keys keep the *last* record so a re-recorded cell wins.
 Leases (multi-process coordination)
 -----------------------------------
 The store doubles as the coordination substrate for concurrent runs over
-one grid: cell-granular **leases** live in a sidecar JSONL file
-(``<store>.leases``) as idempotent appends -- ``claim`` / ``heartbeat`` /
-``release`` records folded in file order, last live claim wins, leases
-expire after their TTL so a crashed owner's cells are *reclaimed* by any
-surviving run.  Two ``repro sweep --resume`` processes on one store
-partition the pending cells instead of duplicating them; the results file
-itself stays pure (lease traffic never touches it), which is what keeps
-fault-free and fault-injected stores byte-comparable after
-:meth:`ResultsStore.compact`.
+one grid: a cell-granular **lease** is a lock file
+``<store>.leases/<sha256(key)[:32]>.lock`` holding ``{"owner", "ttl"}``,
+created with ``O_EXCL`` (exactly one racing claimant wins), heartbeated
+by its mtime and released by unlink.  Once ``mtime + ttl`` has passed
+the owner is presumed crashed and any surviving run *reclaims* the cell.
+Every lease operation is O(1) in the lease history.  Two ``repro sweep
+--resume`` processes on one store partition the pending cells instead of
+duplicating them; the results file itself stays pure (lease traffic
+never touches it), which is what keeps fault-free and fault-injected
+stores byte-comparable after :meth:`ResultsStore.compact`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -60,9 +63,6 @@ from repro.pipeline.result import SimulationResult
 #: Bumped whenever the record layout changes; stale lines are ignored (the
 #: cells re-simulate) instead of being misread.
 STORE_FORMAT_VERSION = 1
-
-#: Version tag on every lease-file line; foreign lines are ignored.
-LEASE_FORMAT_VERSION = 1
 
 #: Default seconds before an unrefreshed lease is considered stale.
 DEFAULT_LEASE_TTL = 300.0
@@ -169,6 +169,7 @@ class ResultsStore:
 
     @property
     def lease_path(self) -> Path:
+        """The directory holding this store's lease lock files."""
         return self.path.with_name(self.path.name + ".leases")
 
     # -- loading --------------------------------------------------------------------
@@ -355,114 +356,139 @@ class ResultsStore:
 
     # -- leases ---------------------------------------------------------------------
 
-    def _append_lease(self, op: str, key: str, ttl: float | None = None) -> None:
-        line = json.dumps({"lv": LEASE_FORMAT_VERSION, "op": op, "key": key,
-                           "owner": self.owner, "t": round(self._clock(), 3),
-                           "ttl": ttl if ttl is not None else self.lease_ttl},
-                          sort_keys=True)
-        self.lease_path.parent.mkdir(parents=True, exist_ok=True)
-        with self.lease_path.open("a") as handle:
-            handle.write(line + "\n")
+    def _lock_file(self, key: str) -> Path:
+        return self.lease_path / (hashlib.sha256(key.encode()).hexdigest()[:32]
+                                  + ".lock")
 
-    def _lease_state(self) -> dict[str, dict]:
-        """Fold the lease file: key -> last-winning {owner, expires, t, ttl}.
-
-        Fold rules (idempotent appends, file order): a ``claim`` always
-        installs its owner (last claim wins -- the tie-break for racing
-        claimants); ``heartbeat`` refreshes expiry only when its owner
-        still holds the lease; ``release`` clears it only for the holder.
-        """
-        state: dict[str, dict] = {}
+    @contextlib.contextmanager
+    def _mutex(self):
+        """Serialise every change to an existing lock (creation excepted);
+        the kernel drops the ``flock`` if its holder dies mid-reclaim."""
+        fd = os.open(self.lease_path / "mutex", os.O_CREAT | os.O_RDWR, 0o644)
         try:
-            text = self.lease_path.read_text(errors="replace")
-        except OSError:
-            return state
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if (not isinstance(entry, dict)
-                    or entry.get("lv") != LEASE_FORMAT_VERSION):
-                continue
-            op, key, owner = entry.get("op"), entry.get("key"), entry.get("owner")
-            if not isinstance(key, str) or not isinstance(owner, str):
-                continue
-            try:
-                t, ttl = float(entry.get("t", 0.0)), float(entry.get("ttl", 0.0))
-            except (TypeError, ValueError):
-                continue
-            current = state.get(key)
-            if op == "claim":
-                state[key] = {"owner": owner, "t": t, "ttl": ttl,
-                              "expires": t + ttl}
-            elif op == "heartbeat" and current and current["owner"] == owner:
-                current.update(t=t, ttl=ttl, expires=t + ttl)
-            elif op == "release" and current and current["owner"] == owner:
-                del state[key]
-        return state
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
+
+    def _create_lock(self, lock: Path) -> bool:
+        """Atomically create ``lock`` for this run; False when it exists."""
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+        except FileExistsError:
+            return False
+        except (FileNotFoundError, NotADirectoryError):
+            if self.lease_path.is_file():
+                # The sidecar of the old JSONL lease log; not honoured.
+                self.lease_path.unlink(missing_ok=True)
+            self.lease_path.mkdir(parents=True, exist_ok=True)
+            return self._create_lock(lock)
+        try:
+            os.write(fd, json.dumps({"owner": self.owner,
+                                     "ttl": self.lease_ttl}).encode())
+            now = self._clock()
+            os.utime(fd, (now, now))
+        finally:
+            os.close(fd)
+        return True
+
+    def _read_lock(self, lock: Path) -> dict | None:
+        """``{"owner", "t", "ttl", "expires"}`` of ``lock`` (``t`` = mtime).
+
+        A lock torn before its content was written has no owner and this
+        run's TTL, so it still goes stale.  None when there is no lock.
+        """
+        try:
+            with lock.open("rb") as handle:
+                t = os.fstat(handle.fileno()).st_mtime
+                data = handle.read()
+        except FileNotFoundError:
+            return None
+        try:
+            entry = json.loads(data)
+            owner, ttl = str(entry["owner"]), float(entry["ttl"])
+        except (ValueError, KeyError, TypeError):
+            owner, ttl = None, self.lease_ttl
+        return {"owner": owner, "t": t, "ttl": ttl, "expires": t + ttl}
+
+    def _owns(self, lock: Path) -> bool:
+        held = self._read_lock(lock)
+        return held is not None and held["owner"] == self.owner
 
     def lease_holder(self, job) -> dict | None:
         """The live lease on ``job`` (``{"owner", "expires", ...}``) or None."""
-        entry = self._lease_state().get(job_key(job))
+        entry = self._read_lock(self._lock_file(job_key(job)))
         if entry is None or entry["expires"] <= self._clock():
             return None
         return entry
 
-    def claim(self, job, ttl: float | None = None) -> str | None:
+    def claim(self, job) -> str | None:
         """Try to lease ``job`` for this run; None when another run holds it.
 
         Returns ``"fresh"`` (nobody held it), ``"reclaimed"`` (a stale
-        lease was taken over) or ``None``.  Claiming is check -> append ->
-        verify: after appending our claim the file is re-read, and the
-        *last* claim line wins, so two racing claimants agree on a single
-        winner without any locking.
+        lease was taken over) or ``None``.  The lock file's ``O_EXCL``
+        creation is the single arbiter: whoever creates it holds the cell.
+        A stale lock is unlinked under :meth:`_mutex` after a re-read,
+        then the reclaimer races for ``O_EXCL`` like any fresh claimant.
         """
         key = job_key(job)
-        now = self._clock()
-        current = self._lease_state().get(key)
-        stale = current is not None and current["expires"] <= now
-        if current is not None and current["owner"] != self.owner and not stale:
-            return None
-        self._append_lease("claim", key, ttl)
-        winner = self._lease_state().get(key)
-        if winner is None or winner["owner"] != self.owner:
-            return None  # a racing claimant appended after us and won
+        lock = self._lock_file(key)
+        grant = "fresh"
+        if not self._create_lock(lock):
+            now = self._clock()
+            with self._mutex():
+                held = self._read_lock(lock)
+                if held is not None:
+                    if held["owner"] != self.owner and held["expires"] > now:
+                        return None
+                    lock.unlink()
+                    if held["owner"] != self.owner:
+                        grant = "reclaimed"
+            if not self._create_lock(lock):
+                return None  # a racing claimant created it first
         self.owned_leases.add(key)
-        return "reclaimed" if stale and current["owner"] != self.owner else "fresh"
+        return grant
 
     def heartbeat_owned(self, min_interval: float | None = None) -> int:
         """Refresh every owned lease; returns how many were refreshed.
 
         ``min_interval`` (default ``ttl / 4``) rate-limits refreshes so the
-        per-cell delivery path can call this unconditionally.
+        per-cell delivery path can call this unconditionally.  A lease
+        another run has reclaimed in the meantime is left alone.
         """
         interval = min_interval if min_interval is not None else self.lease_ttl / 4
         now = self._clock()
         if not self.owned_leases or now - self._last_heartbeat < interval:
             return 0
         self._last_heartbeat = now
-        for key in sorted(self.owned_leases):
-            self._append_lease("heartbeat", key)
-        return len(self.owned_leases)
+        refreshed = 0
+        with self._mutex():
+            for key in self.owned_leases:
+                lock = self._lock_file(key)
+                if self._owns(lock):
+                    os.utime(lock, (now, now))
+                    refreshed += 1
+        return refreshed
 
     def release(self, job) -> None:
         """Release this run's lease on ``job`` (no-op when not held)."""
         key = job_key(job)
         if key in self.owned_leases:
-            self.owned_leases.discard(key)
-            self._append_lease("release", key)
+            self._release_keys([key])
 
     def release_owned(self) -> int:
         """Release every lease this run still holds (cancellation path)."""
-        released = 0
-        for key in sorted(self.owned_leases):
-            self._append_lease("release", key)
-            released += 1
-        self.owned_leases.clear()
-        return released
+        return self._release_keys(list(self.owned_leases))
+
+    def _release_keys(self, keys: list[str]) -> int:
+        if keys:
+            with self._mutex():
+                for key in keys:
+                    lock = self._lock_file(key)
+                    if self._owns(lock):
+                        lock.unlink()
+        self.owned_leases.difference_update(keys)
+        return len(keys)
 
     # -- read-side queries (the service's ``GET /results``) ---------------------------
 
@@ -503,12 +529,13 @@ class ResultsStore:
         """Integrity report of the store and lease files (read-only).
 
         Counts well-formed records, duplicate keys, corrupt lines and a
-        torn tail on the results file, plus live/stale/total leases.
+        torn tail on the results file, plus live/stale leases and the lock
+        files on disk.
         """
         report = {"path": str(self.path), "file_bytes": 0, "lines": 0,
                   "records": 0, "unique_keys": 0, "duplicate_keys": 0,
                   "corrupt_lines": 0, "torn_tail": False,
-                  "leases_live": 0, "leases_stale": 0, "lease_lines": 0}
+                  "leases_live": 0, "leases_stale": 0, "lease_files": 0}
         try:
             raw = self.path.read_bytes()
         except OSError:
@@ -535,14 +562,12 @@ class ResultsStore:
             keys[record["key"]] = keys.get(record["key"], 0) + 1
         report["unique_keys"] = len(keys)
         report["duplicate_keys"] = sum(count - 1 for count in keys.values())
-        try:
-            report["lease_lines"] = sum(
-                1 for line in self.lease_path.read_text(errors="replace")
-                .splitlines() if line.strip())
-        except OSError:
-            pass
         now = self._clock()
-        for entry in self._lease_state().values():
+        for lock in self.lease_path.glob("*.lock"):
+            entry = self._read_lock(lock)
+            if entry is None:
+                continue  # released while we listed the directory
+            report["lease_files"] += 1
             if entry["expires"] > now:
                 report["leases_live"] += 1
             else:
@@ -559,7 +584,7 @@ class ResultsStore:
         results compact to **byte-identical files** regardless of append
         order, faults survived or meta recorded, which is the form the
         chaos gates compare.  The rewrite is atomic (temp file +
-        ``os.replace``); the lease sidecar is pruned to live leases only.
+        ``os.replace``); lease lock files are not touched.
         """
         before = self.verify()
         records: dict[str, dict] = {}
@@ -589,26 +614,8 @@ class ResultsStore:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, self.path)
-        # Prune the lease sidecar: live claims survive (re-emitted with
-        # their original timestamps, so expiry is unchanged), everything
-        # released or expired is dropped.
-        now = self._clock()
-        live = {key: entry for key, entry in self._lease_state().items()
-                if entry["expires"] > now}
-        if self.lease_path.exists():
-            tmp = self.lease_path.with_name(self.lease_path.name + ".compact.tmp")
-            with tmp.open("w") as handle:
-                for key in sorted(live):
-                    entry = live[key]
-                    handle.write(json.dumps(
-                        {"lv": LEASE_FORMAT_VERSION, "op": "claim", "key": key,
-                         "owner": entry["owner"], "t": entry["t"],
-                         "ttl": entry["ttl"]}, sort_keys=True) + "\n")
-            os.replace(tmp, self.lease_path)
         self.reload()
         return {"records_kept": len(records),
                 "duplicates_dropped": before["duplicate_keys"],
                 "corrupt_dropped": before["corrupt_lines"],
-                "torn_tail_dropped": before["torn_tail"],
-                "leases_kept": len(live),
-                "lease_lines_dropped": before["lease_lines"] - len(live)}
+                "torn_tail_dropped": before["torn_tail"]}

@@ -13,7 +13,9 @@ resumable, and concurrent resumable runs partition work through leases.
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import sys
 import threading
 import time
 
@@ -22,11 +24,17 @@ import pytest
 from repro.experiments.faults import FAULT_KINDS, FaultPlan, TransientFault
 from repro.experiments.runner import _execute_job, run_jobs, run_sweep
 from repro.experiments.scheduler import ReliabilityStats, RetryPolicy
-from repro.paper.store import ResultsStore, TornWriteError
+from repro.paper.store import ResultsStore, TornWriteError, job_key
 from repro.telemetry import RunLogger
 
 #: Fast, deterministic retries for tests (no multi-second backoffs).
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.01, backoff_cap=0.05)
+
+
+def no_leases(store: ResultsStore) -> bool:
+    """Whether ``store`` has no lease left on disk, live or stale."""
+    report = store.verify()
+    return report["leases_live"] == 0 and report["leases_stale"] == 0
 
 
 # -- fault plan determinism ----------------------------------------------------------
@@ -215,7 +223,7 @@ def test_keyboard_interrupt_mid_sweep_is_resumable(tmp_path, tiny_jobs):
     # The store was flushed and closed on a line boundary, leases released.
     assert path.read_bytes().endswith(b"\n")
     assert store.owned_leases == set()
-    assert store._lease_state() == {}
+    assert no_leases(store)
 
     # The resumed run simulates exactly the pending cells.
     resumed = ResultsStore(path, fsync=False)
@@ -242,7 +250,7 @@ def test_pool_keyboard_interrupt_drains_completed_cells(tmp_path, chaos_spec):
         run_jobs(jobs, workers=2, cache_dir=str(tmp_path / "cache"),
                  store=store, progress=interrupt_on_third)
     assert path.read_bytes().endswith(b"\n")
-    assert store._lease_state() == {}
+    assert no_leases(store)
 
     resumed = ResultsStore(path, fsync=False)
     results = run_jobs(jobs, store=resumed, cache_dir=str(tmp_path / "cache"))
@@ -294,7 +302,119 @@ def test_release_owned_clears_every_lease(tmp_path, tiny_jobs, fake_clock):
     for job in jobs:
         assert store.claim(job) == "fresh"
     assert store.release_owned() == len(jobs)
-    assert store._lease_state() == {}
+    assert no_leases(store)
+
+
+class HookedClock:
+    """Wraps a fake clock; once armed, runs ``hook`` at its ``n``-th read."""
+
+    def __init__(self, clock) -> None:
+        self.clock = clock
+        self.reads = 0
+        self.n = 0
+        self.hook = None
+        self.fired = False
+
+    def arm(self, n: int, hook=None) -> None:
+        self.reads, self.n, self.hook, self.fired = 0, n, hook, False
+
+    def __call__(self) -> float:
+        self.reads += 1
+        if self.reads == self.n and self.hook is not None:
+            self.fired = True
+            self.hook()
+        return self.clock()
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["free", "stale"])
+def test_claim_interleaved_at_each_clock_read_has_one_winner(
+        tmp_path, tiny_jobs, fake_clock, stale):
+    """Store B claims the same cell at the n-th clock read inside store A's
+    claim, for every n A's claim makes: exactly one of them holds the cell.
+
+    Every clock read is a point where a check-then-act claim could be
+    overtaken, so this pins the race deterministically (no threads).  The
+    stale case has a crashed owner's expired lease and two reclaimers.
+    """
+    job = tiny_jobs[0]
+
+    def stores(name: str):
+        path = tmp_path / name / "results.jsonl"
+        if stale:
+            crashed = ResultsStore(path, owner="crashed", clock=fake_clock,
+                                   lease_ttl=10.0)
+            assert crashed.claim(job) == "fresh"
+            fake_clock.now += 100.0
+        hooked = HookedClock(fake_clock)
+        a = ResultsStore(path, owner="a", clock=hooked, lease_ttl=10.0)
+        b = ResultsStore(path, owner="b", clock=fake_clock, lease_ttl=10.0)
+        return hooked, a, b
+
+    hooked, a, _b = stores("dry-run")
+    hooked.arm(0)
+    assert a.claim(job) == ("reclaimed" if stale else "fresh")
+    reads = hooked.reads
+    assert reads >= 1
+
+    for n in range(1, reads + 1):
+        hooked, a, b = stores(f"n{n}")
+        grants = {}
+        hooked.arm(n, lambda: grants.update(b=b.claim(job)))
+        grants["a"] = a.claim(job)
+        assert hooked.fired, n
+        winners = [name for name, grant in grants.items() if grant is not None]
+        assert len(winners) == 1, (n, grants)
+        assert grants[winners[0]] == ("reclaimed" if stale else "fresh")
+        assert b.lease_holder(job)["owner"] == winners[0]
+
+
+def test_threaded_claims_give_each_cell_exactly_one_winner(tmp_path, tiny_jobs):
+    """Eight stores on one path race for the same 100 cells at once."""
+    jobs = [dataclasses.replace(tiny_jobs[0], seed=seed) for seed in range(100)]
+    path = tmp_path / "results.jsonl"
+    stores = [ResultsStore(path, owner=f"s{i}", fsync=False) for i in range(8)]
+    barrier = threading.Barrier(len(stores), timeout=30.0)
+    won: list[list[str]] = [[] for _ in stores]
+
+    def race(i: int) -> None:
+        barrier.wait()
+        for job in jobs:
+            if stores[i].claim(job) is not None:
+                won[i].append(job_key(job))
+
+    threads = [threading.Thread(target=race, args=(i,))
+               for i in range(len(stores))]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-claim as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    winners = [key for keys in won for key in keys]
+    assert sorted(winners) == sorted(job_key(job) for job in jobs)
+    for store, keys in zip(stores, won):
+        assert store.owned_leases == set(keys)
+    assert stores[0].verify()["leases_live"] == len(jobs)
+    for store in stores:
+        store.release_owned()
+    assert no_leases(stores[0])
+
+
+def test_old_jsonl_lease_log_gives_way_to_the_lock_directory(tmp_path,
+                                                              tiny_jobs):
+    """A store last used with the JSONL lease log still claims and counts."""
+    path = tmp_path / "results.jsonl"
+    (tmp_path / "results.jsonl.leases").write_text(
+        '{"lv": 1, "op": "claim", "key": "k", "owner": "old"}\n')
+    store = ResultsStore(path, fsync=False)
+    assert store.verify()["lease_files"] == 0
+    assert store.claim(tiny_jobs[0]) == "fresh"
+    assert store.lease_path.is_dir()
+    assert store.verify()["lease_files"] == 1
 
 
 def test_concurrent_resumable_runs_partition_work(tmp_path, tiny_jobs):
